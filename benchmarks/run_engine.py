@@ -7,11 +7,7 @@ micro-workload, and writes ``BENCH_engine.json`` with both timings.
 It also compares unplanned columnar execution against the cost-based
 ``planned`` mode on join-order-sensitive flows (selection pushdown,
 join reordering, build-side choice), gated on quantised row-multiset
-equivalence, and serial columnar execution against the chunk-partitioned
-``parallel`` mode on a scan-heavy revenue workload — sweeping worker
-counts over both worker pools (``thread`` and ``process``) — gated on
-**exact** row-multiset equivalence (the parallel engine promises
-byte-identical results, so no quantisation is tolerated).
+equivalence.
 
 The runner is also the equivalence gate for the compiled columnar
 engine: after every workload it compares the loaded warehouse tables of
@@ -68,16 +64,6 @@ MODES = ("legacy", "columnar")
 #: sweep so join-order effects dominate fixed per-execution overheads.
 PLANNER_SCALE_FACTOR = 4.0
 
-#: The parallel scenario runs at the same large scale, sweeping worker
-#: counts across BOTH worker pools (threads and processes); the ≥2x
-#: speedup gate is enforced per configuration only when the machine has
-#: at least that many cores (a 1-CPU box cannot speed anything up, and
-#: a waived gate is recorded in the report rather than silently passed).
-PARALLEL_SCALE_FACTOR = 4.0
-PARALLEL_WORKER_SWEEP = (2, 4)
-PARALLEL_POOLS = ("thread", "process")
-PARALLEL_SPEEDUP_TARGET = 2.0
-
 
 def loaded_tables(flow):
     return sorted(
@@ -104,24 +90,24 @@ def quantized_snapshot(database, tables):
     }
 
 
-def time_flows(database, flows, mode, snapshot=row_multiset, **executor_options):
+def time_flows(database, flows, mode, snapshot=row_multiset):
     """Best-of-rounds wall-clock of executing ``flows`` in ``mode``.
 
     Returns (seconds, snapshot of every loaded table).  The flows'
     loaders run in replace mode, so repeated rounds are idempotent; one
     warmup round removes one-time costs (parse/compile caches, columnar
-    scan pivots, worker-pool spin-up) from the measurement.
+    scan pivots) from the measurement.
     """
     tables = sorted({t for flow in flows for t in loaded_tables(flow)})
-    with Executor(database, mode=mode, **executor_options) as executor:
-        for flow in flows:  # warmup
+    executor = Executor(database, mode=mode)
+    for flow in flows:  # warmup
+        executor.execute(flow)
+    best = float("inf")
+    for __ in range(ROUNDS):
+        started = time.perf_counter()
+        for flow in flows:
             executor.execute(flow)
-        best = float("inf")
-        for __ in range(ROUNDS):
-            started = time.perf_counter()
-            for flow in flows:
-                executor.execute(flow)
-            best = min(best, time.perf_counter() - started)
+        best = min(best, time.perf_counter() - started)
     return best, snapshot(database, tables)
 
 
@@ -283,126 +269,6 @@ def run_planner_comparison(mismatches):
     }
 
 
-def parallel_revenue_flow():
-    """The scan-heavy parallel scenario: a fused lineitem chain feeding
-    a supplier join.
-
-    Selection, derive and the join probe all partition over row chunks;
-    the supplier-side hash build stays serial (it is tiny).  Everything
-    downstream of the scan is per-row work, so this is the shape the
-    partitioned engine is built for.
-    """
-    flow = EtlFlow("parallel_revenue")
-    flow.add(Datastore("src_lineitem", table="lineitem"))
-    flow.add(Datastore("src_supplier", table="supplier"))
-    flow.add(Selection("bulk_only", predicate="l_quantity >= 10"))
-    flow.add(
-        DerivedAttribute(
-            "revenue",
-            output="revenue",
-            expression="l_extendedprice * (1 - l_discount)",
-        )
-    )
-    flow.add(
-        Join("j_supp", left_keys=("l_suppkey",), right_keys=("s_suppkey",))
-    )
-    flow.add(
-        Loader("load_out", table="bench_parallel_revenue", mode="replace")
-    )
-    flow.connect("src_lineitem", "bulk_only")
-    flow.connect("bulk_only", "revenue")
-    flow.connect("revenue", "j_supp")
-    flow.connect("src_supplier", "j_supp")
-    flow.connect("j_supp", "load_out")
-    return flow
-
-
-def run_parallel_comparison(mismatches):
-    """Serial columnar vs chunk-partitioned parallel execution,
-    sweeping worker counts across both worker pools.
-
-    The equivalence gate is exact (unquantised) row multisets — the
-    parallel engine's contract is byte-identical output, for the thread
-    pool and the process pool alike.  The ≥2x speedup gate is enforced
-    per configuration only when the host actually has as many cores as
-    workers; on smaller machines the honest numbers are still recorded,
-    with the waiver spelled out in the report.
-    """
-    database = make_database(PARALLEL_SCALE_FACTOR)
-    flow = parallel_revenue_flow()
-    serial_seconds, serial_snapshot = time_flows(database, [flow], "columnar")
-    cpu_count = os.cpu_count() or 1
-    print(
-        f"  SF {PARALLEL_SCALE_FACTOR:<5} {'revenue':<14} "
-        f"serial {serial_seconds * 1000:8.1f}ms  ({cpu_count} core(s))"
-    )
-    pools = {}
-    for pool in PARALLEL_POOLS:
-        per_workers = {}
-        for workers in PARALLEL_WORKER_SWEEP:
-            label = f"parallel revenue [{pool} x{workers}]"
-            seconds, snapshot = time_flows(
-                database,
-                [flow],
-                "parallel",
-                workers=workers,
-                pool=pool,
-                parallel_row_threshold=0,
-            )
-            compare_snapshots(
-                label,
-                {"columnar": serial_snapshot, "parallel": snapshot},
-                mismatches,
-                modes=("columnar", "parallel"),
-            )
-            speedup = serial_seconds / seconds
-            gate_enforced = cpu_count >= workers
-            entry = {
-                "workers": workers,
-                "parallel_seconds": seconds,
-                "speedup": speedup,
-                "results_identical": not any(
-                    m.startswith(label) for m in mismatches
-                ),
-                "speedup_gate_enforced": gate_enforced,
-            }
-            if not gate_enforced:
-                entry["speedup_gate_waiver"] = (
-                    f"host has {cpu_count} core(s) for {workers} workers; "
-                    f"a worker pool cannot beat serial execution without "
-                    f"cores to run on, so the {PARALLEL_SPEEDUP_TARGET}x "
-                    f"gate is waived"
-                )
-            elif speedup < PARALLEL_SPEEDUP_TARGET:
-                mismatches.append(
-                    f"{label}: speedup {speedup:.2f}x is below the "
-                    f"{PARALLEL_SPEEDUP_TARGET}x target with {cpu_count} "
-                    f"cores for {workers} workers"
-                )
-            per_workers[str(workers)] = entry
-            print(
-                f"  SF {PARALLEL_SCALE_FACTOR:<5} "
-                f"{pool + ' x' + str(workers):<14} "
-                f"serial {serial_seconds * 1000:8.1f}ms  "
-                f"parallel {seconds * 1000:8.1f}ms  "
-                f"speedup {speedup:.2f}x"
-                f"{'' if gate_enforced else '  (gate waived)'}"
-            )
-        pools[pool] = per_workers
-    return {
-        "modes": ["columnar", "parallel"],
-        "scale_factor": PARALLEL_SCALE_FACTOR,
-        "cpu_count": cpu_count,
-        "columnar_seconds": serial_seconds,
-        "worker_sweep": list(PARALLEL_WORKER_SWEEP),
-        "speedup_target": PARALLEL_SPEEDUP_TARGET,
-        "pools": pools,
-        "results_identical": not any(
-            m.startswith("parallel revenue") for m in mismatches
-        ),
-    }
-
-
 def a1_database():
     database = Database()
     database.create_table(
@@ -463,8 +329,6 @@ def main(argv=None) -> int:
     by_scale_factor = run_tpch_workloads(mismatches)
     print("planner benchmark: unplanned columnar vs cost-based planned")
     planner = run_planner_comparison(mismatches)
-    print("parallel benchmark: serial columnar vs chunk-partitioned")
-    parallel = run_parallel_comparison(mismatches)
     a1 = run_a1_equivalence(mismatches)
 
     largest = str(max(SCALE_FACTORS))
@@ -475,7 +339,6 @@ def main(argv=None) -> int:
         "timing": "best of rounds, after one warmup execution",
         "scale_factors": by_scale_factor,
         "planner_comparison": planner,
-        "parallel_comparison": parallel,
         "a1_equivalence": a1,
         "largest_scale_factor": largest,
         "speedup_at_largest_scale_factor": {

@@ -5,7 +5,7 @@ The static side (:mod:`extract`, :mod:`rules`, :mod:`driver`) parses the
 (every ``with self._lock`` / ``.acquire()`` site, call-graph propagated)
 and emits stable ``QRY9xx`` diagnostics: lock-order inversions, locks
 held across blocking operations, unguarded access to ``# guarded-by:``
-fields, impure process-pool kernels.
+fields, unbalanced manual acquires.
 
 The runtime side (:mod:`sanitizer`, enabled with ``REPRO_LOCKSAN=1``)
 wraps every lock built through :mod:`repro.locks`, records per-thread

@@ -17,8 +17,6 @@ runs out:
 * ``# lock: Class.attr`` names the lock behind an acquisition whose
   receiver type is unknown,
 * ``# calls: Class.method[, ...]`` resolves dynamic calls on a line,
-* ``# process-kernel`` marks a function as a process-pool chunk kernel
-  (functions named ``process_*`` are kernels by convention),
 * ``# lock-internal`` excludes a lock declaration from the model (the
   sanitizer's own bookkeeping lock).
 """
@@ -97,7 +95,6 @@ _BLOCKING_MODULE_CALLS = {
 _BLOCKING_NAMES = {
     "open": "file open",
     "ProcessPoolExecutor": "process pool spawn",
-    "process_context": "process pool spawn",
 }
 
 #: Method calls that mutate their receiver (guarded-field writes).
@@ -185,29 +182,9 @@ class _ModuleContext:
         source = path.read_text(encoding="utf-8")
         self.tree = ast.parse(source, filename=str(path))
         self.comments = _comments_by_line(source)
-        self.module_names = self._module_level_names()
 
     def comment(self, line: int) -> str:
         return self.comments.get(line, "")
-
-    def _module_level_names(self) -> set:
-        names = set()
-        for node in self.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                names.add(node.name)
-            elif isinstance(node, ast.ClassDef):
-                names.add(node.name)
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-            elif isinstance(node, ast.AnnAssign):
-                if isinstance(node.target, ast.Name):
-                    names.add(node.target.id)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    names.add((alias.asname or alias.name).split(".")[0])
-        return names
 
 
 def _iter_functions(module: _ModuleContext):
@@ -659,71 +636,6 @@ class _FunctionScanner:
             if isinstance(event, YieldEvent):
                 self.info.yield_held = event.held
                 break
-        if self.info.is_process_kernel:
-            self._scan_purity()
-
-    def _scan_purity(self) -> None:
-        """Record mutations of module-level state in a process kernel."""
-        module_names = self.module.module_names
-        impurities = self.info.impurities
-
-        def root_name(node):
-            while isinstance(node, (ast.Attribute, ast.Subscript)):
-                node = node.value
-            return node.id if isinstance(node, ast.Name) else None
-
-        local_names = {
-            arg.arg
-            for arg in (
-                list(self.node.args.args)
-                + list(self.node.args.kwonlyargs)
-                + ([self.node.args.vararg] if self.node.args.vararg else [])
-                + ([self.node.args.kwarg] if self.node.args.kwarg else [])
-            )
-        }
-        for node in ast.walk(self.node):
-            if isinstance(node, (ast.Global, ast.Nonlocal)):
-                keyword = (
-                    "global" if isinstance(node, ast.Global) else "nonlocal"
-                )
-                impurities.append(
-                    f"declares {keyword} {', '.join(node.names)}"
-                )
-            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        local_names.add(target.id)
-                        continue
-                    name = root_name(target)
-                    if (
-                        name is not None
-                        and name in module_names
-                        and name not in local_names
-                    ):
-                        impurities.append(
-                            f"mutates module-level {name!r}"
-                        )
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in _MUTATORS
-                ):
-                    name = root_name(func.value)
-                    if (
-                        name is not None
-                        and name in module_names
-                        and name not in local_names
-                    ):
-                        impurities.append(
-                            f"mutates module-level {name!r} "
-                            f"via .{func.attr}()"
-                        )
 
     def _scan_body(self, body: List) -> None:
         for stmt in body:
@@ -877,7 +789,6 @@ def extract_paths(
             qualname = f"{owner}.{node.name}" if owner else node.name
             key = f"{module.dotted}:{qualname}"
             decorators = _decorator_names(node)
-            comment = module.comment(node.lineno)
             info = FunctionInfo(
                 key=key,
                 module=module.relname,
@@ -887,10 +798,6 @@ def extract_paths(
                 owner=owner,
                 line=node.lineno,
                 is_contextmanager="contextmanager" in decorators,
-                is_process_kernel=(
-                    node.name.startswith("process_")
-                    or "process-kernel" in comment
-                ),
                 returns=_annotation_class(node.returns),
             )
             model.functions[key] = info
@@ -902,8 +809,3 @@ def extract_paths(
             info = model.functions[f"{module.dotted}:{qualname}"]
             _FunctionScanner(model, module, info, node).scan()
     return model
-
-
-def module_level_names(path: Path) -> set:
-    """Module-level bindings of a file (for the purity rule)."""
-    return _ModuleContext(Path(path), Path(path).name, Path(path).stem).module_names

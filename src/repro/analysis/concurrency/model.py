@@ -110,13 +110,10 @@ class FunctionInfo:
     owner: str  # class name or ""
     line: int
     is_contextmanager: bool = False
-    is_process_kernel: bool = False
     returns: Optional[str] = None  # return-annotation class, if any
     events: List[object] = field(default_factory=list)
     #: Held tokens at the first ``yield`` (context managers only).
     yield_held: Tuple[Token, ...] = ()
-    #: Purity violations (process kernels only): human descriptions.
-    impurities: List[str] = field(default_factory=list)
 
     @property
     def is_private(self) -> bool:

@@ -14,8 +14,6 @@ repro.codelint --list-rules`` print one catalog with no drift.
 * ``QRY904`` error — a field declared ``# guarded-by: <lock>`` is
   accessed without that lock held (lexically or inherited from every
   call site).
-* ``QRY905`` error — a process-pool chunk kernel touches module-level
-  mutable state, which silently diverges under ``pool="process"``.
 * ``QRY906`` warning — a manual ``.acquire()`` with no matching
   ``.release()`` in a ``finally`` block.
 * ``QRY907`` info — a lock-looking acquisition whose receiver could
@@ -216,28 +214,6 @@ def unguarded_access(ctx: CodeLintContext) -> Iterable[Diagnostic]:
                 hint=f"hold {guarded.lock} or mark the field "
                 f"'[writes]' if racy reads are tolerated",
                 fingerprint=fingerprint,
-            )
-
-
-@rule(
-    "QRY905",
-    "impure process-pool chunk kernel",
-    "code",
-    Severity.ERROR,
-)
-def impure_kernel(ctx: CodeLintContext) -> Iterable[Diagnostic]:
-    for info in ctx.model.functions.values():
-        if not info.is_process_kernel:
-            continue
-        for impurity in info.impurities:
-            yield diag(
-                "QRY905",
-                f"process kernel {impurity}; state mutated in a worker "
-                f"process never reaches the parent",
-                node=info.location(),
-                attribute=info.qualname,
-                hint="kernels must be pure functions of their chunk",
-                fingerprint=f"QRY905:{info.qualname}:{impurity}",
             )
 
 

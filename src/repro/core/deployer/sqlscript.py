@@ -5,7 +5,7 @@ renders each loader's upstream as a chain of common table expressions:
 
 .. code-block:: sql
 
-    TRUNCATE TABLE fact_table_revenue;
+    TRUNCATE TABLE fact_table_revenue;  -- DELETE FROM ... on sqlite
     WITH "DATASTORE_lineitem" AS (SELECT ... FROM lineitem),
          ...
     INSERT INTO fact_table_revenue SELECT * FROM "AGG_fact_table_revenue";
@@ -80,7 +80,9 @@ def _loader_block(flow: EtlFlow, loader: Loader, dialect: str) -> str:
         ctes.append(f"{sql_identifier(name)} AS (\n  {select}\n)")
     lines = []
     if loader.mode == "replace":
-        lines.append(f"TRUNCATE TABLE {sql_identifier(loader.table)};")
+        # SQLite has no TRUNCATE; an unqualified DELETE is its equivalent.
+        empty = "DELETE FROM" if dialect == "sqlite" else "TRUNCATE TABLE"
+        lines.append(f"{empty} {sql_identifier(loader.table)};")
     lines.append("WITH " + ",\n".join(ctes))
     lines.append(
         f"INSERT INTO {sql_identifier(loader.table)} "

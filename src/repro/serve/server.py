@@ -359,7 +359,14 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = (self.headers.get("Content-Length") or "0").strip()
+        # int() alone would accept "-1" (read(-1) waits for the client
+        # to hang up) and raise ValueError on junk (a 500).
+        if not (header.isascii() and header.isdigit()):
+            # The body was never read, so the stream is out of sync.
+            self.close_connection = True
+            raise ServeError(400, f"invalid Content-Length: {header!r}")
+        length = int(header)
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}

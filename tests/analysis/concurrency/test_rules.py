@@ -309,68 +309,6 @@ class TestGuardedBy:
         assert "racy_write" == report.diagnostics[0].attribute.split(".")[-1]
 
 
-class TestProcessKernelPurity:
-    def test_module_global_mutation_flagged(self, tmp_path):
-        report = _lint(
-            tmp_path,
-            """
-            _CACHE = {}
-
-            def process_chunk(rows):
-                _CACHE[len(rows)] = rows
-                return rows
-            """,
-            only=["QRY905"],
-        )
-        assert _codes(report) == ["QRY905"]
-        assert "_CACHE" in report.diagnostics[0].message
-
-    def test_global_statement_flagged(self, tmp_path):
-        report = _lint(
-            tmp_path,
-            """
-            total = 0
-
-            def process_sum(rows):
-                global total
-                total += len(rows)
-                return rows
-            """,
-            only=["QRY905"],
-        )
-        codes = _codes(report)
-        assert "QRY905" in codes
-        assert any("global" in d.message for d in report.diagnostics)
-
-    def test_pure_kernel_clean(self, tmp_path):
-        report = _lint(
-            tmp_path,
-            """
-            def process_chunk(rows):
-                out = []
-                for row in rows:
-                    out.append(row * 2)
-                return out
-            """,
-            only=["QRY905"],
-        )
-        assert _codes(report) == []
-
-    def test_annotation_marks_nonconventional_name(self, tmp_path):
-        report = _lint(
-            tmp_path,
-            """
-            _SEEN = []
-
-            def chunk_worker(rows):  # process-kernel
-                _SEEN.append(rows)
-                return rows
-            """,
-            only=["QRY905"],
-        )
-        assert _codes(report) == ["QRY905"]
-
-
 class TestManualAcquire:
     def test_acquire_without_finally_release(self, tmp_path):
         report = _lint(

@@ -285,6 +285,13 @@ class TestStatsAndErrors:
         with pytest.raises(KeyError):
             stats.node("ghost")
 
+    def test_mode_validation(self):
+        for mode in ("columnar", "planned", "legacy"):
+            assert Executor(Database(), mode=mode).mode == mode
+        for mode in ("parallel", "threads"):
+            with pytest.raises(ValueError, match="unknown executor mode"):
+                Executor(Database(), mode=mode)
+
     def test_invalid_flow_rejected_before_running(self):
         flow = EtlFlow("t")
         flow.add(Selection("sel"))

@@ -1,6 +1,7 @@
 """The HTTP front door: routing, lifecycle, isolation, concurrency."""
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -66,6 +67,32 @@ class TestRouting:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=60)
         assert excinfo.value.code == 400
+
+
+class TestContentLength:
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5", "\u00b2"])
+    def test_invalid_content_length_is_400(self, server, value):
+        # Raw socket: HTTP clients refuse to send such a header.  A
+        # negative length must not reach rfile.read(-1), which blocks the
+        # handler until the client hangs up; the socket timeout turns
+        # such a hang into a failure here.
+        with socket.create_connection(
+            (server.host, server.port), timeout=10
+        ) as connection:
+            connection.sendall(
+                f"POST /sessions HTTP/1.1\r\n"
+                f"Host: {server.host}\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {value}\r\n\r\n".encode("latin-1")
+            )
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                chunk = connection.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        status_line = reply.split(b"\r\n", 1)[0].decode("ascii")
+        assert status_line.split()[1] == "400", status_line
 
 
 class TestLifecycle:
