@@ -13,11 +13,11 @@ of one dict per row.  That buys the executor:
   ``map(column_fn, *columns)`` — no per-row dict in the hot path.
 
 The row-dict world is still the interface of ``database.py``,
-``sqlexec.py``, ``olap.py`` and the deployers, so the class carries
-adapters both ways: :meth:`from_relation` / :meth:`from_rows` to enter,
-and a cached ``.rows`` property, ``__iter__`` and :meth:`to_relation`
-to leave.  Any code that handled a :class:`repro.engine.relation.Relation`
-result keeps working against a columnar one.
+``olap.py`` and the deployers, so the class carries adapters both
+ways: :meth:`from_relation` / :meth:`from_rows` to enter, and a cached
+``.rows`` property, ``__iter__`` and :meth:`to_relation` to leave.
+Any code that handled a :class:`repro.engine.relation.Relation` result
+keeps working against a columnar one.
 
 Semantics mirror the row implementations exactly (NULL-key behaviour in
 joins, first-occurrence order in ``distinct``, NULLs-first sorting,

@@ -80,9 +80,6 @@ class _Table:
         #: agree on one cached view instead of both pivoting (or one
         #: observing the other's half-built pivot).
         self._columnar_lock = new_lock("_Table._columnar_lock")
-        #: Bumped on every write; statistics caches key on it, so stale
-        #: table stats are detected without comparing contents.
-        self.generation: int = 0
 
     def primary_key_of(self, row: dict) -> Optional[tuple]:
         if not self.definition.primary_key:
@@ -166,7 +163,6 @@ class Database:
                 )
         table.relation.rows.append(row)
         table._columnar = None
-        table.generation += 1
         if key is not None:
             table._pk_index.add(key)
 
@@ -231,7 +227,6 @@ class Database:
         else:
             table.relation.rows.extend({} for _ in range(length))
         table._columnar = None
-        table.generation += 1
         return length
 
     def truncate(self, table_name: str) -> None:
@@ -239,7 +234,6 @@ class Database:
         table.relation.rows.clear()
         table._pk_index.clear()
         table._columnar = None
-        table.generation += 1
 
     # -- queries ------------------------------------------------------------------
 
@@ -272,10 +266,6 @@ class Database:
 
     def row_count(self, table_name: str) -> int:
         return len(self._lookup(table_name).relation)
-
-    def table_generation(self, table_name: str) -> int:
-        """The table's write generation (see :class:`_Table`)."""
-        return self._lookup(table_name).generation
 
     def row_counts(self) -> Dict[str, int]:
         return {name: len(table.relation) for name, table in self._tables.items()}

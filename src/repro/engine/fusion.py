@@ -4,8 +4,7 @@ Adjacent Selection/Projection/Extraction/DerivedAttribute/Rename nodes
 where each link is the sole consumer of its predecessor run as one
 fused pass over the data.  This module owns the whole fusion decision:
 
-* :func:`fusion_plan` finds the maximal fusable chains of a flow (the
-  planner calls it too, to anticipate which chains the engine fuses);
+* :func:`fusion_plan` finds the maximal fusable chains of a flow;
 * :func:`build_chain_spec` resolves one chain against its input schema
   into a :class:`ChainSpec` — expression *texts* plus slot indices;
 * :func:`compile_chain_spec` compiles a spec into a
@@ -48,9 +47,6 @@ def fusion_plan(
     DerivedAttribute/Rename nodes where each link is the sole
     consumer of its predecessor.  Returns ``{head: [chain...]}``
     plus the set of non-head members to skip in the main loop.
-
-    The planner calls this too, to anticipate which chains the engine
-    will fuse (its fusion veto keys on the chain heads found here).
     """
     chains: Dict[str, List[str]] = {}
     absorbed: set = set()

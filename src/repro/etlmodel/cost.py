@@ -76,53 +76,6 @@ DEFAULT_PARAMETERS = CostParameters()
 _UNKNOWN_KIND_UNIT = 0.5
 
 
-def calibrated_parameters(runs, base: CostParameters = DEFAULT_PARAMETERS) -> CostParameters:
-    """Derive :class:`CostParameters` from measured executor timings.
-
-    ``runs`` is an iterable of execution reports (anything with a
-    ``.nodes`` list of :class:`repro.engine.executor.NodeStats`).  Per
-    operation kind the median seconds-per-row is taken over all observed
-    nodes and normalised so ``Datastore`` keeps its nominal unit cost
-    (1.0) — the model stays in abstract units, but the *ratios* between
-    operators now reflect this machine instead of hand-picked defaults.
-    ``Sort``'s measured rate is divided by ``log2(n)`` first, matching
-    the model's superlinear charge.  Kinds never observed (and every
-    selectivity/ratio knob) keep their ``base`` values.
-    """
-    import statistics
-    from dataclasses import replace
-
-    samples: Dict[str, List[float]] = {}
-    for run in runs:
-        for node in run.nodes:
-            rows = max(node.input_rows, node.output_rows)
-            if rows <= 0 or node.seconds <= 0.0:
-                continue
-            per_row = node.seconds / rows
-            if node.kind == "Sort":
-                per_row /= max(1.0, math.log2(max(2.0, float(rows))))
-            samples.setdefault(node.kind, []).append(per_row)
-    if not samples:
-        return base
-    medians = {
-        kind: statistics.median(values) for kind, values in samples.items()
-    }
-    # Normalise against the scan rate; when no scan was measured, anchor
-    # on the observed kind with the smallest configured unit cost.
-    reference = "Datastore"
-    if reference not in medians:
-        reference = min(
-            medians,
-            key=lambda kind: base.unit_costs.get(kind, _UNKNOWN_KIND_UNIT),
-        )
-    reference_unit = base.unit_costs.get(reference, _UNKNOWN_KIND_UNIT)
-    scale = reference_unit / medians[reference]
-    unit_costs = dict(base.unit_costs)
-    for kind, median in medians.items():
-        unit_costs[kind] = median * scale
-    return replace(base, unit_costs=unit_costs)
-
-
 @dataclass(frozen=True)
 class NodeCost:
     """Estimated input volume, output volume and cost of one node."""

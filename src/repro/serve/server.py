@@ -61,6 +61,10 @@ from repro.repository.metadata import MetadataRepository
 #: Session names are path segments and repository namespace parts.
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
 
+#: Largest request body read: ``rfile.read`` allocates the declared
+#: length up front, and xRQ bodies are a few KB.
+MAX_BODY_BYTES = 1 << 20
+
 
 class ServeError(Exception):
     """An error with an HTTP status attached."""
@@ -367,6 +371,13 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
             raise ServeError(400, f"invalid Content-Length: {header!r}")
         length = int(header)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise ServeError(
+                413,
+                f"request body of {length} bytes exceeds "
+                f"{MAX_BODY_BYTES} bytes",
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}

@@ -286,9 +286,9 @@ class TestStatsAndErrors:
             stats.node("ghost")
 
     def test_mode_validation(self):
-        for mode in ("columnar", "planned", "legacy"):
+        for mode in ("columnar", "legacy"):
             assert Executor(Database(), mode=mode).mode == mode
-        for mode in ("parallel", "threads"):
+        for mode in ("planned", "parallel", "threads"):
             with pytest.raises(ValueError, match="unknown executor mode"):
                 Executor(Database(), mode=mode)
 

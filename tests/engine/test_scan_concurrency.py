@@ -1,4 +1,4 @@
-"""Regression: lazy engine caches must be safe under a worker pool.
+"""Regression: the lazy columnar scan cache must be safe under a worker pool.
 
 Before the per-table lock, ``Database.scan_columns`` was a bare
 check-then-set — two workers scanning the same table both paid the
@@ -12,10 +12,8 @@ deterministic-fail.
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.engine import stats as stats_module
 from repro.engine.columnar import ColumnarRelation
 from repro.engine.database import Database, TableDef
-from repro.engine.stats import StatisticsCatalog
 from repro.expressions.types import ScalarType
 
 THREADS = 8
@@ -71,38 +69,3 @@ def test_scan_columns_cache_still_invalidated_by_writes():
     after = database.scan_columns("t")
     assert after is not before
     assert after.length == 4
-
-
-def test_statistics_catalog_collects_once_under_contention(monkeypatch):
-    database = _database()
-    catalog = StatisticsCatalog(database)
-    collections = []
-    original = stats_module.collect_table_stats
-    barrier = threading.Barrier(THREADS)
-
-    def slow_collect(*args, **kwargs):
-        collections.append(threading.get_ident())
-        threading.Event().wait(0.05)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(stats_module, "collect_table_stats", slow_collect)
-
-    def table_stats():
-        barrier.wait(timeout=10)
-        return catalog.table_stats("t")
-
-    with ThreadPoolExecutor(max_workers=THREADS) as pool:
-        results = list(pool.map(lambda _: table_stats(), range(THREADS)))
-
-    assert len(collections) == 1, f"{len(collections)} stat collections"
-    first = results[0]
-    assert all(result is first for result in results)
-    assert first.rows == 200
-
-
-def test_statistics_catalog_recollects_after_write():
-    database = _database(rows=5)
-    catalog = StatisticsCatalog(database)
-    assert catalog.table_stats("t").rows == 5
-    database.insert("t", {"k": 5, "v": "five"})
-    assert catalog.table_stats("t").rows == 6

@@ -30,7 +30,7 @@ def test_fixed_seed_budget_finds_no_divergence():
         for failure in report["failures"]
     ]
     assert not details, "\n".join(details)
-    assert report["trials"] == 5 * SMOKE_SEEDS
+    assert report["trials"] == 4 * SMOKE_SEEDS
 
 
 def test_trials_are_deterministic():

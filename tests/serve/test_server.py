@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.serve.server import QuarryServer, tpch_manager
+from repro.serve.server import MAX_BODY_BYTES, QuarryServer, tpch_manager
 from repro.serve.smoke import demo_xrq
 
 
@@ -69,6 +69,28 @@ class TestRouting:
         assert excinfo.value.code == 400
 
 
+def _raw_post_status(server, content_length: str) -> str:
+    """POST /sessions with only headers sent; the reply's status code."""
+    with socket.create_connection(
+        (server.host, server.port), timeout=10
+    ) as connection:
+        connection.sendall(
+            f"POST /sessions HTTP/1.1\r\n"
+            f"Host: {server.host}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode("latin-1")
+        )
+        reply = b""
+        while b"\r\n\r\n" not in reply:
+            chunk = connection.recv(4096)
+            if not chunk:
+                break
+            reply += chunk
+    status_line = reply.split(b"\r\n", 1)[0].decode("ascii")
+    assert status_line.startswith("HTTP/"), status_line
+    return status_line.split()[1]
+
+
 class TestContentLength:
     @pytest.mark.parametrize("value", ["abc", "-1", "1.5", "\u00b2"])
     def test_invalid_content_length_is_400(self, server, value):
@@ -76,23 +98,16 @@ class TestContentLength:
         # negative length must not reach rfile.read(-1), which blocks the
         # handler until the client hangs up; the socket timeout turns
         # such a hang into a failure here.
-        with socket.create_connection(
-            (server.host, server.port), timeout=10
-        ) as connection:
-            connection.sendall(
-                f"POST /sessions HTTP/1.1\r\n"
-                f"Host: {server.host}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {value}\r\n\r\n".encode("latin-1")
-            )
-            reply = b""
-            while b"\r\n\r\n" not in reply:
-                chunk = connection.recv(4096)
-                if not chunk:
-                    break
-                reply += chunk
-        status_line = reply.split(b"\r\n", 1)[0].decode("ascii")
-        assert status_line.split()[1] == "400", status_line
+        assert _raw_post_status(server, value) == "400"
+
+    @pytest.mark.parametrize(
+        "value", [str(MAX_BODY_BYTES + 1), str(1 << 40)]
+    )
+    def test_oversized_body_is_413_before_reading(self, server, value):
+        # No body follows the headers: a server that tried to read the
+        # declared length would wait (or fail to allocate 1 TiB) instead
+        # of answering.
+        assert _raw_post_status(server, value) == "413"
 
 
 class TestLifecycle:
