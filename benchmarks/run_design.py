@@ -1,6 +1,6 @@
 """Design-pipeline benchmark runner: incremental vs from-scratch.
 
-Measures the four layers the sub-linear design pipeline rests on and
+Measures the three layers the sub-linear design pipeline rests on and
 writes ``BENCH_design.json``:
 
 * **integrator** — at several design sizes N, the cost of accommodating
@@ -12,16 +12,13 @@ writes ``BENCH_design.json``:
   rebuilding the whole session over the evolved domain,
 * **ontology** — cached to-one closures on a warm
   :class:`~repro.ontology.graph.OntologyGraph` against uncached
-  recomputation,
-* **repository** — indexed equality lookups against full collection
-  scans.
+  recomputation.
 
 The runner is also an equivalence gate: every incremental result is
 compared against a from-scratch reference (same xMD/xLM serialisation,
-same requirement order; identical documents for the repository probes;
-identical closures and paths for the ontology) and the process exits
-non-zero on any disagreement — a speedup is only reported for results
-that are known identical.
+same requirement order; identical closures and paths for the ontology)
+and the process exits non-zero on any disagreement — a speedup is only
+reported for results that are known identical.
 
 Usage::
 
@@ -46,7 +43,6 @@ except ModuleNotFoundError:  # running from a source checkout
 
 from repro import Quarry
 from repro.ontology.graph import OntologyGraph
-from repro.repository import Collection
 from repro.sources import tpch
 from repro.xformats import xlm, xmd
 
@@ -315,58 +311,6 @@ def run_ontology_workload(rounds, mismatches):
     }
 
 
-# -- repository layer ---------------------------------------------------------
-
-
-def run_repository_workload(rounds, mismatches):
-    documents = [
-        {
-            "_id": index,
-            "requirement": f"IR{index % 97}",
-            "kind": "partial" if index % 3 else "unified",
-            "payload": index,
-        }
-        for index in range(2000)
-    ]
-    indexed = Collection("bench")
-    indexed.create_index("requirement")
-    scanned = Collection("bench")
-    for document in documents:
-        indexed.insert(dict(document))
-        scanned.insert(dict(document))
-    probes = [f"IR{index % 97}" for index in range(200)]
-
-    def lookups(collection):
-        return [
-            collection.find({"requirement": probe}) for probe in probes
-        ]
-
-    indexed_results = lookups(indexed)
-    scanned_results = lookups(scanned)
-    if indexed_results != scanned_results:
-        mismatches.append("repository: indexed results differ from scan")
-    if not indexed.stats["index_lookups"]:
-        mismatches.append("repository: probes never touched the index")
-
-    indexed_seconds = best_of(rounds, lambda: lookups(indexed))
-    scanned_seconds = best_of(rounds, lambda: lookups(scanned))
-    speedup = scanned_seconds / indexed_seconds
-    print(
-        f"  repository lookups: scan {scanned_seconds * 1000:6.1f}ms  "
-        f"indexed {indexed_seconds * 1000:6.1f}ms  speedup {speedup:.1f}x"
-    )
-    return {
-        "documents": len(documents),
-        "probes": len(probes),
-        "scan_seconds": scanned_seconds,
-        "indexed_seconds": indexed_seconds,
-        "speedup": speedup,
-        "results_identical": not any(
-            mismatch.startswith("repository:") for mismatch in mismatches
-        ),
-    }
-
-
 # -- driver -------------------------------------------------------------------
 
 
@@ -377,7 +321,6 @@ def run_suite(sizes=SIZES, rounds=ROUNDS, headline_size=HEADLINE_SIZE):
     integrator = run_integrator_workloads(sizes, rounds, mismatches)
     evolution = run_evolution_workloads(sizes, rounds, mismatches)
     ontology = run_ontology_workload(rounds, mismatches)
-    repository = run_repository_workload(rounds, mismatches)
 
     headline = str(headline_size)
     change_speedup = (
@@ -397,19 +340,16 @@ def run_suite(sizes=SIZES, rounds=ROUNDS, headline_size=HEADLINE_SIZE):
         "design_sizes": integrator,
         "evolution": evolution,
         "ontology": ontology,
-        "repository": repository,
         "headline": {
             "design_size": headline_size,
             "incremental_change_speedup": change_speedup,
             "incremental_evolve_speedup": evolve_speedup,
-            "indexed_lookup_speedup": repository["speedup"],
             "gate_incremental_change_5x": (
                 change_speedup is not None and change_speedup >= 5.0
             ),
             "gate_incremental_evolve_3x": (
                 evolve_speedup is not None and evolve_speedup >= 3.0
             ),
-            "gate_indexed_lookup_3x": repository["speedup"] >= 3.0,
         },
         "all_results_identical": not mismatches,
     }

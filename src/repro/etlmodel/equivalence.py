@@ -193,10 +193,12 @@ def prune_columns(flow: EtlFlow) -> EtlFlow:
 
     * shrinks single-consumer Extractions in place,
     * inserts a narrowing ``Projection`` on edges out of shared nodes
-      whose consumers need a proper subset.
+      whose consumers need a proper subset, unless the consumer is an
+      Extraction or Projection (those narrow their input themselves).
 
     Distinct, Union and Loader inputs are never pruned (their semantics
-    depend on the full row).  Returns a rewritten copy.
+    depend on the full row).  Returns a rewritten copy; the pass is
+    idempotent.
     """
     from repro.etlmodel.propagation import attribute_names
 
@@ -227,7 +229,11 @@ def prune_columns(flow: EtlFlow) -> EtlFlow:
         for consumer, req in requirements.items():
             if req is None or not req < columns or len(columns) - len(req) < 2:
                 continue
+            if isinstance(result.node(consumer), (Extraction, Projection)):
+                continue  # it narrows its input itself
             counter += 1
+            while result.has_node(f"PRUNE_{counter}_{name}"):
+                counter += 1
             result.insert_between(
                 name,
                 consumer,

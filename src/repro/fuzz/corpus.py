@@ -4,14 +4,12 @@ Every shrunk failure the fuzzer finds can be serialised to a small JSON
 document and committed under ``tests/fuzz/corpus/``; the tier-1 smoke
 test replays every entry on each run, so a fixed bug stays fixed.
 
-Four entry kinds:
+Three entry kinds:
 
 * ``"flow"`` — source tables (schema + rows) and the flow as xLM text;
   replay runs the full differential flow check.
 * ``"lint"`` — same payload as ``"flow"``; replay runs the
   static/dynamic agreement check (linter versus engine) instead.
-* ``"query"`` — documents, query, sort key and limit; replay runs the
-  document-store check against the naive reference.
 * ``"evolve"`` — SCD policy assignment plus a design script (adds,
   removals and evolution operators) over the TPC-H domain; replay
   checks incremental evolution against replay, rebuild and both
@@ -33,8 +31,7 @@ from repro.fuzz.datagen import TableSpec
 from repro.fuzz.evolveoracle import EvolveTrial, check_evolve_trial
 from repro.fuzz.flowgen import FlowTrial
 from repro.fuzz.lintoracle import LintTrial, check_lint_trial
-from repro.fuzz.oracle import check_flow_trial, check_query_trial
-from repro.fuzz.querygen import QueryTrial
+from repro.fuzz.oracle import check_flow_trial
 from repro.xformats import xlm
 
 
@@ -84,26 +81,6 @@ def flow_entry(trial: FlowTrial, description: str = "") -> dict:
     }
 
 
-def query_entry(trial: QueryTrial, description: str = "") -> dict:
-    return {
-        "kind": "query",
-        "description": description,
-        "seed": trial.seed,
-        "documents": [
-            encode_value(document) for document in trial.documents
-        ],
-        "query": encode_value(trial.query),
-        "sort_key": trial.sort_key,
-        "limit": trial.limit,
-        "indexes": list(trial.indexes),
-        "session": trial.session,
-        "decoys": {
-            session: [encode_value(document) for document in documents]
-            for session, documents in trial.decoys.items()
-        },
-    }
-
-
 def lint_entry(trial, description: str = "") -> dict:
     entry = flow_entry(trial, description)
     entry["kind"] = "lint"
@@ -126,9 +103,7 @@ def encode_trial(trial, description: str = "") -> dict:
         return lint_entry(trial, description)
     if isinstance(trial, FlowTrial):
         return flow_entry(trial, description)
-    if isinstance(trial, EvolveTrial):
-        return evolve_entry(trial, description)
-    return query_entry(trial, description)
+    return evolve_entry(trial, description)
 
 
 def _decode_tables(entry: dict) -> List[TableSpec]:
@@ -160,22 +135,6 @@ def decode_entry(entry: dict):
             script=[dict(op) for op in entry["script"]],
             seed=entry.get("seed"),
         )
-    if entry["kind"] == "query":
-        return QueryTrial(
-            documents=[
-                decode_value(document) for document in entry["documents"]
-            ],
-            query=decode_value(entry["query"]),
-            sort_key=entry.get("sort_key"),
-            limit=entry.get("limit"),
-            indexes=list(entry.get("indexes", [])),
-            session=entry.get("session", ""),
-            decoys={
-                session: [decode_value(document) for document in documents]
-                for session, documents in entry.get("decoys", {}).items()
-            },
-            seed=entry.get("seed"),
-        )
     raise ValueError(f"unknown corpus entry kind {entry.get('kind')!r}")
 
 
@@ -186,9 +145,7 @@ def replay(entry: dict) -> Optional[str]:
         return check_lint_trial(trial)
     if isinstance(trial, FlowTrial):
         return check_flow_trial(trial)
-    if isinstance(trial, EvolveTrial):
-        return check_evolve_trial(trial)
-    return check_query_trial(trial)
+    return check_evolve_trial(trial)
 
 
 def load_corpus(directory) -> List[Tuple[Path, dict]]:

@@ -9,9 +9,6 @@ A flow trial passes when
   is byte-identical and the reloaded flow re-executes to the same
   outcome.
 
-A query trial passes when ``Collection.find``/``count`` agree with the
-naive reference over the same documents.
-
 Row canonicalisation is ``repr``-based rather than value-based on
 purpose: ``0 == False == 0.0`` in Python, so a value-level comparison
 would silently excuse an engine that turns ``False`` into ``0``; the
@@ -26,11 +23,6 @@ from typing import List, Optional, Tuple
 from repro.engine.executor import Executor
 from repro.fuzz.datagen import LooseDatabase
 from repro.fuzz.flowgen import FlowTrial
-from repro.fuzz.querygen import (
-    QueryTrial,
-    reference_count,
-    reference_find,
-)
 from repro.xformats import xlm
 
 Outcome = Tuple[str, object]
@@ -111,93 +103,4 @@ def check_flow_trial(trial: FlowTrial) -> Optional[str]:
     replayed = execute_flow("columnar", trial, flow=reloaded)
     if replayed != columnar:
         return _describe_outcomes("roundtrip", columnar, replayed)
-    return None
-
-
-def _query_outcome(compute) -> Outcome:
-    try:
-        return ("ok", compute())
-    except Exception as exc:
-        return ("error", f"{type(exc).__name__}: {exc}")
-
-
-def _canonical_documents(documents: List[dict]) -> List[str]:
-    # Order-SENSITIVE: find() promises collection order (or sort order).
-    return [repr(sorted(document.items())) for document in documents]
-
-
-def check_query_trial(trial: QueryTrial) -> Optional[str]:
-    """Differential check of the document store against the reference.
-
-    Index declarations are split around the writes: even positions are
-    created up front (exercising incremental maintenance on every
-    replace), odd positions after (exercising the backfill path).
-
-    The trial runs in its session's namespaced collection of a shared
-    :class:`~repro.repository.documents.DocumentStore`; decoy documents
-    are written into *other* sessions' collections first and checked
-    untouched afterwards — session isolation is part of the contract.
-    """
-    from repro.repository import DocumentStore
-    from repro.repository.metadata import namespaced
-
-    store = DocumentStore()
-    for session, documents in sorted(trial.decoys.items()):
-        decoy_collection = store.collection(namespaced("fuzz", session))
-        for document in documents:
-            decoy_collection.replace(document)
-    collection = store.collection(namespaced("fuzz", trial.session))
-    for position, path in enumerate(trial.indexes):
-        if position % 2 == 0:
-            collection.create_index(path)
-    for document in trial.documents:
-        collection.replace(document)
-    for position, path in enumerate(trial.indexes):
-        if position % 2 == 1:
-            collection.create_index(path)
-
-    actual = _query_outcome(
-        lambda: _canonical_documents(
-            collection.find(trial.query, trial.sort_key, trial.limit)
-        )
-    )
-    expected = _query_outcome(
-        lambda: _canonical_documents(
-            reference_find(
-                trial.documents, trial.query, trial.sort_key, trial.limit
-            )
-        )
-    )
-    if actual != expected:
-        return (
-            f"query-divergence: find() -> {actual!r}, reference -> "
-            f"{expected!r} (query={trial.query!r}, "
-            f"sort_key={trial.sort_key!r}, limit={trial.limit!r})"
-        )
-
-    actual_count = _query_outcome(lambda: collection.count(trial.query))
-    expected_count = _query_outcome(
-        lambda: reference_count(trial.documents, trial.query)
-    )
-    if actual_count != expected_count:
-        return (
-            f"query-divergence: count() -> {actual_count!r}, reference -> "
-            f"{expected_count!r} (query={trial.query!r})"
-        )
-
-    for session, documents in sorted(trial.decoys.items()):
-        observed = _query_outcome(
-            lambda s=session: _canonical_documents(
-                store.collection(namespaced("fuzz", s)).find()
-            )
-        )
-        untouched = _query_outcome(
-            lambda d=documents: _canonical_documents(reference_find(d))
-        )
-        if observed != untouched:
-            return (
-                f"session-leakage: session {session!r} collection -> "
-                f"{observed!r}, expected {untouched!r} "
-                f"(trial session {trial.session!r})"
-            )
     return None

@@ -1,10 +1,10 @@
 """The fuzzing loop and the ``python -m repro.fuzz`` command line.
 
-Each integer seed yields one flow trial, one query trial, one lint
-trial (static/dynamic agreement) and one evolve trial (incremental
-design evolution versus full rebuild), all fully determined by the seed
-(string-seeded RNG, stable across platforms and ``PYTHONHASHSEED``).
-Failures are shrunk and written as corpus-format
+Each integer seed yields one flow trial (columnar versus legacy
+engine), one lint trial (static/dynamic agreement) and one evolve trial
+(incremental design evolution versus full rebuild), all fully
+determined by the seed (string-seeded RNG, stable across platforms and
+``PYTHONHASHSEED``).  Failures are shrunk and written as corpus-format
 JSON into ``--failures-dir``; promote a file into
 ``tests/fuzz/corpus/`` to pin the regression forever.
 
@@ -37,13 +37,11 @@ from repro.fuzz.lintoracle import (
     check_lint_trial,
     shrink_lint_trial,
 )
-from repro.fuzz.oracle import check_flow_trial, check_query_trial
-from repro.fuzz.querygen import build_query_trial
-from repro.fuzz.shrink import shrink_flow_trial, shrink_query_trial
+from repro.fuzz.oracle import check_flow_trial
+from repro.fuzz.shrink import shrink_flow_trial
 
 _KINDS = (
     ("flow", build_flow_trial, check_flow_trial, shrink_flow_trial),
-    ("query", build_query_trial, check_query_trial, shrink_query_trial),
     ("lint", build_lint_trial, check_lint_trial, shrink_lint_trial),
     ("evolve", build_evolve_trial, check_evolve_trial, shrink_evolve_trial),
 )
@@ -124,8 +122,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.fuzz",
         description=(
-            "Differential fuzzing of the dual-mode ETL engine and the "
-            "document store."
+            "Differential fuzzing of the dual-mode ETL engine, the "
+            "linter and design evolution."
         ),
     )
     parser.add_argument(

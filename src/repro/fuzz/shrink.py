@@ -1,8 +1,7 @@
 """Greedy minimisation of failing trials.
 
 Not a full delta-debugger: a budgeted greedy loop that (a) drops flow
-nodes and loader branches, (b) drops table rows, (c) drops documents
-and simplifies queries — accepting a candidate only when it still fails
+nodes and loader branches and (b) drops table rows — accepting a candidate only when it still fails
 with the *same category* (the text before the first colon of the
 oracle's description), so reduction cannot morph one bug into another.
 Every candidate is validated before checking; invalid flows are simply
@@ -14,9 +13,8 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.fuzz.flowgen import FlowTrial
-from repro.fuzz.oracle import check_flow_trial, check_query_trial
+from repro.fuzz.oracle import check_flow_trial
 from repro.fuzz.datagen import TableSpec
-from repro.fuzz.querygen import QueryTrial
 
 Check = Callable[[object], Optional[str]]
 
@@ -165,138 +163,3 @@ def shrink_flow_trial(
             if improved:
                 break
     return _drop_unused_tables(trial)
-
-
-# -- query trials --------------------------------------------------------------
-
-
-def _query_candidates(query) -> List[object]:
-    """Strictly-simpler variants of a query, most aggressive first."""
-    if query is None:
-        return []
-    candidates: List[object] = [None]
-    if not isinstance(query, dict):
-        return candidates
-    for key in list(query):
-        if len(query) > 1:
-            trimmed = dict(query)
-            del trimmed[key]
-            candidates.append(trimmed)
-        condition = query[key]
-        if key in ("$and", "$or"):
-            candidates.extend(condition)
-        elif key == "$not":
-            candidates.append(condition)
-        elif isinstance(condition, dict) and len(condition) > 1:
-            for op in condition:
-                slimmer = dict(condition)
-                del slimmer[op]
-                candidates.append({**query, key: slimmer})
-        elif isinstance(condition, dict):
-            for op, expected in condition.items():
-                if isinstance(expected, list) and len(expected) > 1:
-                    for index in range(len(expected)):
-                        candidates.append(
-                            {
-                                **query,
-                                key: {
-                                    op: expected[:index]
-                                    + expected[index + 1:]
-                                },
-                            }
-                        )
-    return candidates
-
-
-def shrink_query_trial(
-    trial: QueryTrial,
-    check: Check = check_query_trial,
-    budget: int = 250,
-) -> QueryTrial:
-    detail = check(trial)
-    if detail is None:
-        return trial
-    category = _category(detail)
-    budget = _Budget(budget)
-
-    def variant(**changes) -> QueryTrial:
-        fields = {
-            "documents": [dict(document) for document in trial.documents],
-            "query": trial.query,
-            "sort_key": trial.sort_key,
-            "limit": trial.limit,
-            "indexes": list(trial.indexes),
-            "session": trial.session,
-            "decoys": {
-                session: [dict(document) for document in documents]
-                for session, documents in trial.decoys.items()
-            },
-            "seed": trial.seed,
-            "notes": trial.notes,
-        }
-        fields.update(changes)
-        return QueryTrial(**fields)
-
-    def still_fails(candidate: QueryTrial) -> bool:
-        if not budget.spend():
-            return False
-        result = check(candidate)
-        return result is not None and _category(result) == category
-
-    improved = True
-    while improved and budget.left > 0:
-        improved = False
-        for index in range(len(trial.documents)):
-            documents = (
-                trial.documents[:index] + trial.documents[index + 1:]
-            )
-            candidate = variant(documents=documents)
-            if still_fails(candidate):
-                trial = candidate
-                improved = True
-                break
-        if improved:
-            continue
-        if trial.limit is not None and still_fails(variant(limit=None)):
-            trial = variant(limit=None)
-            improved = True
-            continue
-        if trial.sort_key is not None and still_fails(
-            variant(sort_key=None)
-        ):
-            trial = variant(sort_key=None)
-            improved = True
-            continue
-        for index in range(len(trial.indexes)):
-            indexes = trial.indexes[:index] + trial.indexes[index + 1:]
-            candidate = variant(indexes=indexes)
-            if still_fails(candidate):
-                trial = candidate
-                improved = True
-                break
-        if improved:
-            continue
-        for dropped in sorted(trial.decoys):
-            decoys = {
-                session: documents
-                for session, documents in trial.decoys.items()
-                if session != dropped
-            }
-            candidate = variant(decoys=decoys)
-            if still_fails(candidate):
-                trial = candidate
-                improved = True
-                break
-        if improved:
-            continue
-        if trial.session and still_fails(variant(session="")):
-            trial = variant(session="")
-            improved = True
-            continue
-        for simpler in _query_candidates(trial.query):
-            candidate = variant(query=simpler)
-            if still_fails(candidate):
-                trial = candidate
-                improved = True
-                break
-    return trial

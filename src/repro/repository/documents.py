@@ -1,16 +1,11 @@
-"""An embedded document store with Mongo-style queries.
+"""An embedded document store: named collections of JSON documents.
 
 Documents are plain JSON-compatible dicts with a required ``_id``.
-Filters support equality on (dotted) paths plus the operators
-``$eq $ne $gt $gte $lt $lte $in $nin $exists $regex`` and the
-conjunctions ``$and $or $not``.
-
-Collections support secondary (field-value) indexes on declared dotted
-paths, maintained on every write.  A small query planner routes
-top-level equality and ``$in`` filters through an index and falls back
-to a full scan for everything else; candidates from any route are still
-verified against the full query, so an index can change only *how fast*
-a query answers, never *what* it answers.
+Reads are by id or by predicate scan: ``find(where)`` and
+``delete_where(where)`` take an optional Python callable over the
+document, which is all the metadata catalog ever asks of its storage.
+Collections keep insertion order: a replace keeps a document's
+position, a delete followed by an insert moves it to the end.
 
 Collections are thread-safe: every public read and write holds the
 collection's reentrant lock, so concurrent design sessions can share one
@@ -20,8 +15,7 @@ into distinct collections never contend with each other.
 
 from __future__ import annotations
 
-import re
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.locks import new_rlock
 
@@ -31,221 +25,8 @@ from repro.errors import (
     RepositoryError,
 )
 
-_OPERATORS = {
-    "$eq", "$ne", "$gt", "$gte", "$lt", "$lte",
-    "$in", "$nin", "$exists", "$regex",
-}
-
-
-def _resolve_path(document: dict, path: str):
-    """Value at a dotted path; (value, found) pair."""
-    current = document
-    for part in path.split("."):
-        if isinstance(current, dict) and part in current:
-            current = current[part]
-        else:
-            return None, False
-    return current, True
-
-
-def _sort_group(value):
-    """Type-bucketed total order over document values.
-
-    Values only ever compare against values of the same bucket, so a
-    heterogeneously-typed sort key can never raise ``TypeError`` and no
-    value is coerced into another type.  Booleans get their own bucket
-    (``True == 1`` in Python, but a bool is not a number here), ints and
-    floats share the number bucket, and anything exotic (lists, dicts)
-    falls back to a repr ordering within its own type name.
-    """
-    if isinstance(value, bool):
-        return ("bool", value)
-    if isinstance(value, (int, float)):
-        return ("number", value)
-    if isinstance(value, str):
-        return ("string", value)
-    return (type(value).__name__, repr(value))
-
-
-def _find_sort_key(document: dict, path: str):
-    """Sort key for :meth:`Collection.find`: missing first, then NULL,
-    then present values grouped by type — falsy values (``0``, ``""``,
-    ``False``) sort as themselves, never collapsed."""
-    value, found = _resolve_path(document, path)
-    if not found:
-        return (0, ("", ""))
-    if value is None:
-        return (1, ("", ""))
-    return (2, _sort_group(value))
-
-
-def _compare(op: str, value, expected) -> bool:
-    if op == "$eq":
-        return value == expected
-    if op == "$ne":
-        return value != expected
-    if op in ("$gt", "$gte", "$lt", "$lte"):
-        if value is None:
-            return False
-        try:
-            if op == "$gt":
-                return value > expected
-            if op == "$gte":
-                return value >= expected
-            if op == "$lt":
-                return value < expected
-            return value <= expected
-        except TypeError:
-            return False
-    if op == "$in":
-        return value in expected
-    if op == "$nin":
-        return value not in expected
-    if op == "$regex":
-        return isinstance(value, str) and re.search(expected, value) is not None
-    raise RepositoryError(f"unknown operator {op!r}")
-
-
-def matches(document: dict, query: dict) -> bool:
-    """Whether a document satisfies a filter query."""
-    for key, condition in query.items():
-        if key == "$and":
-            if not all(matches(document, sub) for sub in condition):
-                return False
-            continue
-        if key == "$or":
-            if not any(matches(document, sub) for sub in condition):
-                return False
-            continue
-        if key == "$not":
-            if matches(document, condition):
-                return False
-            continue
-        value, found = _resolve_path(document, key)
-        if isinstance(condition, dict) and any(
-            op.startswith("$") for op in condition
-        ):
-            for op, expected in condition.items():
-                if op == "$exists":
-                    if bool(found) != bool(expected):
-                        return False
-                    continue
-                if op not in _OPERATORS:
-                    raise RepositoryError(f"unknown operator {op!r}")
-                if not found and op not in ("$ne", "$nin"):
-                    return False
-                if not _compare(op, value, expected):
-                    return False
-        else:
-            if not found or value != condition:
-                return False
-    return True
-
-
-def _query_is_safe(query: dict) -> bool:
-    """Whether evaluating ``query`` can never raise, on any document.
-
-    Index routing and limit short-circuiting skip documents a full scan
-    would have match-tested; that is only sound when none of those
-    skipped evaluations could have raised (unknown operator, malformed
-    ``$in``/``$regex`` operand).  Unsafe queries take the plain scan
-    path so error behaviour is bit-identical to an unindexed collection.
-    """
-    for key, condition in query.items():
-        if key in ("$and", "$or"):
-            if not isinstance(condition, (list, tuple)) or not all(
-                isinstance(sub, dict) and _query_is_safe(sub)
-                for sub in condition
-            ):
-                return False
-            continue
-        if key == "$not":
-            if not isinstance(condition, dict) or not _query_is_safe(condition):
-                return False
-            continue
-        if isinstance(condition, dict) and any(
-            op.startswith("$") for op in condition
-        ):
-            for op, expected in condition.items():
-                if op == "$exists":
-                    continue
-                if op not in _OPERATORS:
-                    return False
-                if op in ("$in", "$nin") and not isinstance(
-                    expected, (list, tuple)
-                ):
-                    return False
-                if op == "$regex":
-                    if not isinstance(expected, str):
-                        return False
-                    try:
-                        re.compile(expected)
-                    except re.error:
-                        return False
-    return True
-
-
-class _FieldIndex:
-    """Equality index over one dotted path.
-
-    ``buckets`` maps a document's value at the path to the ids holding
-    it.  Values that Python cannot hash (lists, dicts) land in the
-    ``loose`` set, which every index lookup includes wholesale — the
-    full-query verification pass filters them, so unhashable values cost
-    a small residual scan instead of wrong answers.  Documents without
-    the path are absent entirely: equality and ``$in`` can never match
-    a missing field.
-    """
-
-    __slots__ = ("path", "buckets", "loose")
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.buckets: Dict[object, Set] = {}
-        self.loose: Set = set()
-
-    def add(self, doc_id, document: dict) -> None:
-        value, found = _resolve_path(document, self.path)
-        if not found:
-            return
-        try:
-            bucket = self.buckets.setdefault(value, set())
-        except TypeError:
-            self.loose.add(doc_id)
-            return
-        bucket.add(doc_id)
-
-    def remove(self, doc_id, document: dict) -> None:
-        value, found = _resolve_path(document, self.path)
-        if not found:
-            return
-        try:
-            bucket = self.buckets.get(value)
-        except TypeError:
-            self.loose.discard(doc_id)
-            return
-        if bucket is not None:
-            bucket.discard(doc_id)
-            if not bucket:
-                del self.buckets[value]
-
-    def lookup(self, values: Iterable) -> Set:
-        """Ids whose indexed value *may* equal one of ``values``.
-
-        A superset of the true matches (it always includes ``loose``);
-        the caller verifies candidates against the full query.
-        """
-        ids = set(self.loose)
-        for value in values:
-            try:
-                bucket = self.buckets.get(value)
-            except TypeError:
-                # An unhashable probe can only equal unhashable stored
-                # values, and those are all in ``loose`` already.
-                continue
-            if bucket:
-                ids.update(bucket)
-        return ids
+#: A document filter: ``True`` keeps the document.
+Predicate = Callable[[dict], bool]
 
 
 class Collection:
@@ -253,56 +34,10 @@ class Collection:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        #: Reentrant so compound writes (``delete_many`` -> ``delete``)
+        #: Reentrant so compound writes (``bulk_load`` -> ``insert``)
         #: and callers that already hold the lock both work.
         self._lock = new_rlock("Collection._lock")
         self._documents: Dict[str, dict] = {}  # guarded-by: Collection._lock
-        #: Monotonic insertion position per id, so the ``_id`` fast path
-        #: can restore collection order without scanning (replacing an
-        #: existing document keeps its position, like dict assignment).
-        self._positions: Dict[str, int] = {}  # guarded-by: Collection._lock
-        self._next_position = 0  # guarded-by: Collection._lock
-        self._indexes: Dict[str, _FieldIndex] = {}  # guarded-by: Collection._lock
-        #: Which route answered each read — tests and benchmarks assert
-        #: the planner took the cheap path (they read without the lock,
-        #: after the writers have quiesced).
-        self.stats: Dict[str, int] = {  # guarded-by: Collection._lock [writes]
-            "scans": 0, "index_lookups": 0, "id_lookups": 0,
-        }
-
-    def _track(self, doc_id) -> None:
-        if doc_id not in self._positions:
-            self._positions[doc_id] = self._next_position
-            self._next_position += 1
-
-    # -- indexes ----------------------------------------------------------
-
-    def create_index(self, path: str) -> None:
-        """Declare (idempotently) an equality index on a dotted path.
-
-        Existing documents are backfilled immediately; subsequent writes
-        maintain the index incrementally.
-        """
-        with self._lock:
-            if path in self._indexes:
-                return
-            index = _FieldIndex(path)
-            for doc_id, document in self._documents.items():
-                index.add(doc_id, document)
-            self._indexes[path] = index
-
-    def indexes(self) -> List[str]:
-        """Declared index paths, in declaration order."""
-        with self._lock:
-            return list(self._indexes)
-
-    def _index_add(self, doc_id, document: dict) -> None:
-        for index in self._indexes.values():
-            index.add(doc_id, document)
-
-    def _index_remove(self, doc_id, document: dict) -> None:
-        for index in self._indexes.values():
-            index.remove(doc_id, document)
 
     # -- writes -----------------------------------------------------------
 
@@ -316,10 +51,7 @@ class Collection:
                 raise DuplicateDocumentError(
                     f"document {doc_id!r} already in collection {self.name!r}"
                 )
-            stored = dict(document)
-            self._documents[doc_id] = stored
-            self._track(doc_id)
-            self._index_add(doc_id, stored)
+            self._documents[doc_id] = dict(document)
         return doc_id
 
     def replace(self, document: dict) -> str:
@@ -328,13 +60,7 @@ class Collection:
             raise RepositoryError("document needs an '_id'")
         doc_id = document["_id"]
         with self._lock:
-            previous = self._documents.get(doc_id)
-            if previous is not None:
-                self._index_remove(doc_id, previous)
-            stored = dict(document)
-            self._documents[doc_id] = stored
-            self._track(doc_id)
-            self._index_add(doc_id, stored)
+            self._documents[doc_id] = dict(document)
         return doc_id
 
     def bulk_load(self, documents: Iterable[dict]) -> int:
@@ -350,32 +76,25 @@ class Collection:
                 count += 1
             return count
 
-    def update(self, doc_id: str, changes: dict) -> dict:
-        """Shallow-merge changes into an existing document."""
-        with self._lock:
-            document = self.get(doc_id)
-            self._index_remove(doc_id, self._documents[doc_id])
-            document.update({k: v for k, v in changes.items() if k != "_id"})
-            self._documents[doc_id] = document
-            self._index_add(doc_id, document)
-            return dict(document)
-
     def delete(self, doc_id: str) -> None:
         with self._lock:
             if doc_id not in self._documents:
                 raise DocumentNotFoundError(self.name, doc_id)
-            self._index_remove(doc_id, self._documents[doc_id])
             del self._documents[doc_id]
-            del self._positions[doc_id]
 
-    def delete_many(self, query: dict) -> int:
-        # Materialise the ids first (the generator walks _documents),
-        # then delete with full bookkeeping: positions and index entries
-        # go too, exactly as in single-document delete.
+    def delete_where(self, where: Predicate) -> int:
+        """Delete every document ``where`` accepts; returns the count.
+
+        Atomic: no reader sees the collection half-deleted.
+        """
         with self._lock:
-            doomed = [document["_id"] for document in self._matching(query)]
+            doomed = [
+                doc_id
+                for doc_id, document in self._documents.items()
+                if where(document)
+            ]
             for doc_id in doomed:
-                self.delete(doc_id)
+                del self._documents[doc_id]
             return len(doomed)
 
     # -- reads ---------------------------------------------------------------
@@ -390,150 +109,15 @@ class Collection:
         with self._lock:
             return doc_id in self._documents
 
-    def _id_candidates(self, query: dict):
-        """Documents narrowed by an ``_id`` condition, or None.
-
-        ``_documents`` is keyed by ``_id``, so a query that pins the id
-        (plain equality, ``$eq`` or ``$in``) is answered by direct hash
-        lookups instead of a collection scan.
-        """
-        if "_id" not in query:
-            return None
-        condition = query["_id"]
-        try:
-            if isinstance(condition, dict) and any(
-                op.startswith("$") for op in condition
-            ):
-                if set(condition) == {"$eq"}:
-                    wanted = [condition["$eq"]]
-                elif set(condition) == {"$in"}:
-                    seen: set = set()
-                    wanted = []
-                    for doc_id in condition["$in"]:
-                        if doc_id not in seen:
-                            seen.add(doc_id)
-                            wanted.append(doc_id)
-                else:
-                    return None
-            else:
-                wanted = [condition]
-            # Restore collection (insertion) order: a scan yields
-            # documents in that order, and narrowing by id must not
-            # reorder results behind the caller's back.
-            hits = [
-                doc_id for doc_id in wanted if doc_id in self._documents
+    def find(self, where: Optional[Predicate] = None) -> List[dict]:
+        """Copies of the documents ``where`` accepts (all of them when
+        ``where`` is ``None``), in insertion order."""
+        with self._lock:
+            return [
+                dict(document)
+                for document in self._documents.values()
+                if where is None or where(document)
             ]
-            hits.sort(key=self._positions.__getitem__)
-            return [self._documents[doc_id] for doc_id in hits]
-        except TypeError:  # unhashable id in the query: scan as before
-            return None
-
-    def _index_candidates(self, query: dict):
-        """Documents narrowed by a secondary index, or None.
-
-        The planner picks the first top-level field condition that is a
-        plain equality, ``$eq`` or a list-valued ``$in`` over an indexed
-        path.  (``$in`` on a non-list is left to the scan path: ``in``
-        over a string means substring containment there, which a
-        per-element index probe cannot reproduce.)
-        """
-        for path, condition in query.items():
-            if path.startswith("$"):
-                continue
-            index = self._indexes.get(path)
-            if index is None:
-                continue
-            if isinstance(condition, dict) and any(
-                op.startswith("$") for op in condition
-            ):
-                if "$eq" in condition:
-                    values = [condition["$eq"]]
-                elif "$in" in condition and isinstance(
-                    condition["$in"], (list, tuple)
-                ):
-                    values = list(condition["$in"])
-                else:
-                    continue
-            else:
-                values = [condition]
-            hits = sorted(
-                index.lookup(values), key=self._positions.__getitem__
-            )
-            return [self._documents[doc_id] for doc_id in hits]
-        return None
-
-    def _plan(self, query: Optional[dict]):
-        """(candidate documents, whether evaluation may skip documents).
-
-        Candidates come from the ``_id`` fast path, a secondary index,
-        or a full scan — always in collection order, always a superset
-        of the true matches.  Routes that skip documents are only taken
-        for *safe* queries (see :func:`_query_is_safe`), so a query that
-        would raise mid-scan still raises identically.
-        """
-        if not query:
-            return self._documents.values(), True
-        if not _query_is_safe(query):
-            self.stats["scans"] += 1
-            return self._documents.values(), False
-        narrowed = self._id_candidates(query)
-        if narrowed is not None:
-            self.stats["id_lookups"] += 1
-            return narrowed, True
-        narrowed = self._index_candidates(query)
-        if narrowed is not None:
-            self.stats["index_lookups"] += 1
-            return narrowed, True
-        self.stats["scans"] += 1
-        return self._documents.values(), True
-
-    def _matching(self, query: Optional[dict]) -> Iterator[dict]:
-        """Stored documents matching the filter, in collection order.
-
-        Yields the *stored* dicts without copying — callers that hand
-        documents out must copy; callers that only count or collect ids
-        must not mutate.
-        """
-        candidates, __ = self._plan(query)
-        if not query:
-            yield from candidates
-            return
-        for document in candidates:
-            if matches(document, query):
-                yield document
-
-    def find(
-        self,
-        query: Optional[dict] = None,
-        sort_key: Optional[str] = None,
-        limit: Optional[int] = None,
-    ) -> List[dict]:
-        """All documents matching the filter (copies)."""
-        with self._lock:
-            candidates, may_skip = self._plan(query)
-            stop_early = may_skip and sort_key is None and limit is not None
-            results: List[dict] = []
-            for document in candidates:
-                if stop_early and len(results) >= limit:
-                    break
-                if query is None or not query or matches(document, query):
-                    results.append(dict(document))
-        if sort_key is not None:
-            results.sort(key=lambda doc: _find_sort_key(doc, sort_key))
-        if limit is not None:
-            results = results[:limit]
-        return results
-
-    def find_one(self, query: Optional[dict] = None) -> Optional[dict]:
-        found = self.find(query, limit=1)
-        return found[0] if found else None
-
-    def count(self, query: Optional[dict] = None) -> int:
-        """Matching-document count, without materialising result copies."""
-        with self._lock:
-            if query is None:
-                return len(self._documents)
-            return sum(1 for __ in self._matching(query))
 
     def ids(self) -> List[str]:
         with self._lock:
@@ -563,11 +147,7 @@ class DocumentStore:
         with self._lock:
             return list(self._collections)
 
-    def drop_collection(self, name: str) -> None:
-        with self._lock:
-            self._collections.pop(name, None)
-
-    def snapshot(self) -> Dict[str, Dict[str, list]]:
+    def snapshot(self) -> Dict[str, List[dict]]:
         """A point-in-time view of every collection, taken atomically.
 
         Acquires the store lock plus every per-collection lock in a
@@ -590,15 +170,8 @@ class DocumentStore:
                     collection._lock.acquire()  # lock: Collection._lock
                     acquired.append(collection)
                 return {
-                    "collections": {
-                        collection.name: collection.find()  # calls: Collection.find
-                        for collection in collections
-                    },
-                    "indexes": {
-                        collection.name: collection.indexes()
-                        for collection in collections
-                        if collection.indexes()
-                    },
+                    collection.name: collection.find()  # calls: Collection.find
+                    for collection in collections
                 }
             finally:
                 for collection in reversed(acquired):

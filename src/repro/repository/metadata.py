@@ -13,9 +13,9 @@ A repository is a *view* over a shared document store, scoped by a
 session **namespace**: the default namespace (``""``) uses the plain
 collection names, every other namespace prefixes them
 (``session::<ns>::<collection>``), so many design sessions coexist in
-one store without ever seeing each other's artefacts.  Catalog indexes
-are declared per namespace.  The global ``sessions`` collection (never
-namespaced) registers which sessions live in the store.
+one store without ever seeing each other's artefacts.  The global
+``sessions`` collection (never namespaced) registers which sessions
+live in the store.
 """
 
 from __future__ import annotations
@@ -60,21 +60,6 @@ def namespace_for_session(session: str) -> str:
     return "" if session in ("", DEFAULT_SESSION) else session
 
 
-#: Secondary indexes the catalog declares on its collections.  The
-#: partial-design ``requirement`` index serves the hot lookup of the
-#: lifecycle (cascade-deleting the partial designs of a requirement);
-#: ``kind`` indexes serve catalog-wide audits; ``design`` serves the
-#: deployment history lookup; ``topic`` serves per-topic bus replay.
-CATALOG_INDEXES = {
-    REQUIREMENTS: ("kind",),
-    PARTIAL_DESIGNS: ("requirement", "kind"),
-    UNIFIED_DESIGNS: ("kind",),
-    DEPLOYMENTS: ("design", "platform"),
-    BUS_EVENTS: ("topic",),
-    CHECKPOINTS: ("kind",),
-}
-
-
 class MetadataRepository:
     """Typed facade over one session namespace of a document store."""
 
@@ -85,10 +70,6 @@ class MetadataRepository:
     ) -> None:
         self._store = store if store is not None else DocumentStore()
         self._namespace = namespace
-        for collection_name, paths in CATALOG_INDEXES.items():
-            collection = self._collection(collection_name)
-            for path in paths:
-                collection.create_index(path)
 
     @property
     def store(self) -> DocumentStore:
@@ -146,8 +127,8 @@ class MetadataRepository:
 
     def delete_requirement(self, requirement_id: str) -> None:
         self._collection(REQUIREMENTS).delete(requirement_id)
-        self._collection(PARTIAL_DESIGNS).delete_many(
-            {"requirement": requirement_id}
+        self._collection(PARTIAL_DESIGNS).delete_where(
+            lambda document: document["requirement"] == requirement_id
         )
 
     def requirement_ids(self) -> List[str]:
@@ -248,8 +229,8 @@ class MetadataRepository:
 
     def truncate_checkpoints(self, start: int) -> int:
         """Drop every checkpoint at fold position >= ``start``."""
-        return self._collection(CHECKPOINTS).delete_many(
-            {"position": {"$gte": start}}
+        return self._collection(CHECKPOINTS).delete_where(
+            lambda document: document["position"] >= start
         )
 
     def checkpoint_count(self) -> int:
@@ -313,7 +294,7 @@ class MetadataRepository:
 
     def deployments_of(self, design_name: str) -> List[dict]:
         return self._collection(DEPLOYMENTS).find(
-            {"design": design_name}
+            lambda document: document["design"] == design_name
         )
 
     # -- bus event log ------------------------------------------------------------------
@@ -328,18 +309,17 @@ class MetadataRepository:
 
     def bus_events(self, topic: Optional[str] = None) -> List[dict]:
         """Logged events (bus-wide order), optionally for one topic."""
-        collection = self._collection(BUS_EVENTS)
-        events = (
-            collection.find() if topic is None
-            else collection.find({"topic": topic})
+        events = self._collection(BUS_EVENTS).find(
+            None if topic is None
+            else lambda event: event["topic"] == topic
         )
         events.sort(key=lambda event: event["position"])
         return events
 
     def delete_bus_events_after(self, position: int) -> int:
         """Drop every event logged after bus position ``position``."""
-        return self._collection(BUS_EVENTS).delete_many(
-            {"position": {"$gt": position}}
+        return self._collection(BUS_EVENTS).delete_where(
+            lambda event: event["position"] > position
         )
 
     def bus_event_count(self) -> int:

@@ -1,11 +1,11 @@
 """JSON-file persistence for a :class:`DocumentStore`.
 
-One JSON file per store: ``{"name": ..., "collections": {name: [docs]},
-"indexes": {name: [paths]}}``.  Loading recreates collections, index
-declarations and documents verbatim (files without an ``"indexes"`` key
-load fine); documents must be JSON-serialisable (the metadata layer
-guarantees this by converting XML artefacts through
-:mod:`repro.xformats.xmljson` first).
+One JSON file per store: ``{"name": ..., "collections": {name: [docs]}}``.
+Loading recreates collections and documents verbatim; an ``"indexes"``
+key, written by stores that declared secondary indexes, is ignored.
+Documents must be JSON-serialisable (the metadata layer guarantees this
+by converting XML artefacts through :mod:`repro.xformats.xmljson`
+first).
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ def save(store: DocumentStore, path) -> None:
     duration of the read — a save concurrent with writing sessions
     persists a consistent point in time, never a torn one.
     """
-    snapshot = store.snapshot()
-    payload = {
-        "name": store.name,
-        "collections": snapshot["collections"],
-        "indexes": snapshot["indexes"],
-    }
+    payload = {"name": store.name, "collections": store.snapshot()}
     directory = os.path.dirname(os.path.abspath(path)) or "."
     handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -44,8 +39,36 @@ def save(store: DocumentStore, path) -> None:
         raise
 
 
+def _check_shape(collections) -> None:
+    """Reject anything but ``{name: [{"_id": str, ...}, ...]}``."""
+    if not isinstance(collections, dict):
+        raise RepositoryError(
+            "malformed document store file: 'collections' is not an object"
+        )
+    for name, documents in collections.items():
+        if not isinstance(documents, list):
+            raise RepositoryError(
+                f"malformed document store file: collection {name!r} "
+                f"is not a list"
+            )
+        for document in documents:
+            if not isinstance(document, dict) or not isinstance(
+                document.get("_id"), str
+            ):
+                raise RepositoryError(
+                    f"malformed document store file: collection {name!r} "
+                    f"holds {document!r:.80}, not a document with a "
+                    f"string '_id'"
+                )
+
+
 def load(path) -> DocumentStore:
-    """Read a store back from disk."""
+    """Read a store back from disk.
+
+    Every malformed file raises :class:`RepositoryError`; a duplicate
+    ``_id`` within a collection raises its subclass
+    :class:`DuplicateDocumentError`.
+    """
     try:
         with open(path, "r", encoding="utf-8") as file:
             payload = json.load(file)
@@ -53,13 +76,10 @@ def load(path) -> DocumentStore:
         raise RepositoryError(f"cannot load document store: {exc}") from exc
     if not isinstance(payload, dict) or "collections" not in payload:
         raise RepositoryError("malformed document store file")
+    _check_shape(payload["collections"])
     store = DocumentStore(name=payload.get("name", "quarry"))
-    indexes = payload.get("indexes", {})
     for collection_name, documents in payload["collections"].items():
-        collection = store.collection(collection_name)
-        for index_path in indexes.get(collection_name, []):
-            collection.create_index(index_path)
         # One lock hold per collection: a reader that grabs the store
         # mid-load sees each collection either empty or complete.
-        collection.bulk_load(documents)
+        store.collection(collection_name).bulk_load(documents)
     return store

@@ -22,7 +22,7 @@ class TestBenchmarkSmoke:
         assert report["all_results_identical"]
         assert report["design_sizes"]["4"]["results_identical"]
         assert report["ontology"]["results_identical"]
-        assert report["repository"]["results_identical"]
+        assert report["evolution"]["4"]["results_identical"]
 
     def test_incremental_paths_stay_sub_linear(self):
         # Counter-based, not timing-based: robust on loaded CI machines.

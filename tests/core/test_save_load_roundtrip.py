@@ -5,7 +5,16 @@ requirement insertion order and the bus event log all survive the trip,
 so restoring costs zero integration calls and later changes stay
 sub-linear.  Stores written before session state existed still load via
 the legacy re-interpretation path.
+
+``fixtures/store_ir2_ir1.json`` is the same IR2-then-IR1 design saved by
+the store that still declared secondary indexes (its file carries an
+``"indexes"`` key).  Every round-trip test runs on it as well as on a
+fresh save, so files written by older builds keep loading, resuming and
+replaying.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -20,14 +29,19 @@ from .conftest import (
 )
 
 
-@pytest.fixture
-def saved_store(tmp_path):
+COMMITTED_STORE = Path(__file__).parent / "fixtures" / "store_ir2_ir1.json"
+
+
+@pytest.fixture(params=["fresh", "committed"])
+def saved_store(request, tmp_path):
     quarry = Quarry(tpch.ontology(), tpch.schema(), tpch.mappings())
     # IR2 before IR1: insertion order differs from sorted order, so a
     # loader that trusted the (sorted) unified-design requirement list
     # would fold in the wrong order.
     quarry.add_requirement(build_netprofit_requirement())
     quarry.add_requirement(build_revenue_requirement())
+    if request.param == "committed":
+        return quarry, COMMITTED_STORE
     path = tmp_path / "store.json"
     quarry.save_to(path)
     return quarry, path
@@ -107,13 +121,11 @@ class TestLegacyStores:
 
         # Simulate a store written before checkpoints/session state
         # existed: drop the new collections, keep the classic five.
-        from repro.repository import MetadataRepository
-
-        repository = MetadataRepository.load_from(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
         for name in ("session_state", "checkpoints", "bus_events"):
-            repository.store.drop_collection(name)
+            del payload["collections"][name]
         legacy_path = tmp_path / "legacy.json"
-        repository.save_to(legacy_path)
+        legacy_path.write_text(json.dumps(payload), encoding="utf-8")
 
         resumed = reload(legacy_path)
         # Legacy path re-interprets, so integration work was done ...

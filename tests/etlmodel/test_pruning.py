@@ -97,6 +97,62 @@ class TestSharedExtraction:
         pruned = prune_columns(self._shared())
         assert len(pruned.node("ext").columns) == 4
 
+    def test_projection_consumer_gets_no_projection_in_front(self):
+        flow = self._shared()
+        flow.replace_node("wide", Projection("wide", columns=("a",)))
+        pruned = prune_columns(flow)
+        assert pruned.inputs("wide") == ["ext"]
+
+    def test_second_pass_leaves_shrunk_extraction_alone(self):
+        """The first pass shrinks ``e1`` in place; a second pass must
+        not then put a projection between the shared datastore and it."""
+        from repro.xformats import xlm
+
+        flow = EtlFlow("two_extractions")
+        flow.add(Datastore("src", table="t", columns=("a", "b", "c", "d")))
+        for name in ("e1", "e2"):
+            flow.add(Extraction(name, columns=("a", "b", "c", "d")))
+            flow.connect("src", name)
+        flow.add(Aggregation(
+            "agg", group_by=("a",),
+            aggregates=(AggregationSpec("n", "COUNT", "a"),),
+        ))
+        flow.connect("e1", "agg")
+        flow.add(Loader("load_agg", table="agg_out"))
+        flow.connect("agg", "load_agg")
+        flow.add(Loader("load_wide", table="wide_out"))
+        flow.connect("e2", "load_wide")
+        once = prune_columns(flow)
+        assert once.node("e1").columns == ("a",)
+        assert xlm.dumps(prune_columns(once)) == xlm.dumps(once)
+
+
+class TestUnifiedDesign:
+    def test_pruning_a_pruned_unified_flow_changes_nothing(self):
+        """Regression: a second pass restarted the ``PRUNE_<n>`` counter
+        (duplicate node name) and put a fresh projection in front of
+        every ``PRUNE_<n>`` the first pass had inserted."""
+        from repro import Quarry
+        from repro.sources import tpch
+        from repro.xformats import xlm
+        from tests.core.conftest import (
+            build_netprofit_requirement,
+            build_quantity_requirement,
+            build_revenue_requirement,
+        )
+
+        quarry = Quarry(tpch.ontology(), tpch.schema(), tpch.mappings())
+        for build in (
+            build_revenue_requirement,
+            build_netprofit_requirement,
+            build_quantity_requirement,
+        ):
+            quarry.add_requirement(build())
+        __, flow = quarry.unified_design()
+        once = prune_columns(flow)
+        assert any(name.startswith("PRUNE_") for name in once.node_names())
+        assert xlm.dumps(prune_columns(once)) == xlm.dumps(once)
+
 
 class TestSemanticsPreserved:
     def test_execution_unchanged_on_revenue_flow(self, tpch_schema):

@@ -1,8 +1,6 @@
 """Property-based tests of cross-module invariants.
 
 * flow optimisation (normalize, prune_columns) never changes results,
-* the document store's query language agrees with a naive reference
-  implementation,
 * XML↔JSON conversion is lossless on arbitrary trees,
 * ontology to-one closures only return valid functional paths.
 """
@@ -149,90 +147,6 @@ class TestFlowOptimisationSemantics:
         flow = build_random_flow(stages)
         reloaded = xlm.loads(xlm.dumps(flow))
         assert run_flow(reloaded, rows) == run_flow(flow, rows)
-
-
-# ---------------------------------------------------------------------------
-# Document store query semantics vs. a naive reference
-# ---------------------------------------------------------------------------
-
-documents_strategy = st.lists(
-    st.fixed_dictionaries(
-        {
-            "kind": st.sampled_from(["md", "etl", "req"]),
-            "cost": st.integers(min_value=0, max_value=50),
-            "meta": st.fixed_dictionaries(
-                {"author": st.sampled_from(["ann", "bob", "cat"])}
-            ),
-        }
-    ),
-    min_size=0,
-    max_size=20,
-)
-
-query_strategy = st.one_of(
-    st.fixed_dictionaries({"kind": st.sampled_from(["md", "etl", "req"])}),
-    st.fixed_dictionaries(
-        {"cost": st.fixed_dictionaries({"$gt": st.integers(0, 50)})}
-    ),
-    st.fixed_dictionaries(
-        {"cost": st.fixed_dictionaries({"$lte": st.integers(0, 50)})}
-    ),
-    st.fixed_dictionaries(
-        {"meta.author": st.sampled_from(["ann", "bob", "cat", "zed"])}
-    ),
-    st.fixed_dictionaries(
-        {
-            "kind": st.fixed_dictionaries(
-                {"$in": st.lists(st.sampled_from(["md", "etl"]), max_size=2)}
-            )
-        }
-    ),
-)
-
-
-def naive_matches(document, query):
-    for key, condition in query.items():
-        value = document
-        found = True
-        for part in key.split("."):
-            if isinstance(value, dict) and part in value:
-                value = value[part]
-            else:
-                found = False
-                break
-        if isinstance(condition, dict):
-            for op, expected in condition.items():
-                if op == "$gt":
-                    if not found or not value > expected:
-                        return False
-                elif op == "$lte":
-                    if not found or not value <= expected:
-                        return False
-                elif op == "$in":
-                    if not found or value not in expected:
-                        return False
-        else:
-            if not found or value != condition:
-                return False
-    return True
-
-
-class TestDocumentStoreSemantics:
-    @given(documents_strategy, query_strategy)
-    @settings(max_examples=120, deadline=None)
-    def test_find_agrees_with_reference(self, documents, query):
-        from repro.repository import Collection
-
-        collection = Collection("c")
-        for index, document in enumerate(documents):
-            collection.insert({"_id": str(index), **document})
-        got = {doc["_id"] for doc in collection.find(query)}
-        expected = {
-            str(index)
-            for index, document in enumerate(documents)
-            if naive_matches(document, query)
-        }
-        assert got == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Unit tests for the document store and its query language."""
+"""Unit tests for the document store: CRUD, predicate scans, persistence."""
+
+import json
 
 import pytest
 
@@ -8,7 +10,6 @@ from repro.errors import (
     RepositoryError,
 )
 from repro.repository import Collection, DocumentStore
-from repro.repository.documents import matches
 
 
 @pytest.fixture
@@ -44,104 +45,45 @@ class TestCrud:
         designs.replace({"_id": "d9", "kind": "new"})
         assert designs.has("d9")
 
-    def test_update_merges(self, designs):
-        designs.update("d1", {"cost": 11, "_id": "ignored"})
-        assert designs.get("d1")["cost"] == 11
-        assert designs.get("d1")["_id"] == "d1"
-
-    def test_update_missing_raises(self, designs):
-        with pytest.raises(DocumentNotFoundError):
-            designs.update("ghost", {})
-
     def test_delete(self, designs):
         designs.delete("d1")
         assert not designs.has("d1")
         with pytest.raises(DocumentNotFoundError):
             designs.delete("d1")
 
-    def test_delete_many(self, designs):
-        assert designs.delete_many({"kind": "md"}) == 2
+    def test_delete_where(self, designs):
+        assert designs.delete_where(lambda d: d["kind"] == "md") == 2
         assert designs.ids() == ["d2"]
+        assert designs.delete_where(lambda d: d["kind"] == "md") == 0
 
-    def test_len_and_count(self, designs):
+    def test_len(self, designs):
         assert len(designs) == 3
-        assert designs.count() == 3
-        assert designs.count({"kind": "md"}) == 2
+        designs.delete("d2")
+        assert len(designs) == 2
 
 
 class TestQueries:
     def test_equality(self, designs):
-        assert {d["_id"] for d in designs.find({"kind": "md"})} == {"d1", "d3"}
+        found = designs.find(lambda d: d["kind"] == "md")
+        assert [d["_id"] for d in found] == ["d1", "d3"]
 
-    def test_dotted_path(self, designs):
-        assert designs.find_one({"meta.author": "ann"})["_id"] == "d1"
+    def test_find_without_predicate_returns_all(self, designs):
+        assert [d["_id"] for d in designs.find()] == ["d1", "d2", "d3"]
 
-    def test_comparison_operators(self, designs):
-        assert {d["_id"] for d in designs.find({"cost": {"$gt": 20}})} == {
-            "d2",
-            "d3",
-        }
-        assert designs.find_one({"cost": {"$lte": 10}})["_id"] == "d1"
-        assert designs.count({"cost": {"$ne": 10}}) == 2
+    def test_results_are_copies(self, designs):
+        found = designs.find(lambda d: d["_id"] == "d1")[0]
+        found["kind"] = "mutated"
+        assert designs.get("d1")["kind"] == "md"
 
-    def test_in_nin(self, designs):
-        assert designs.count({"kind": {"$in": ["md", "etl"]}}) == 3
-        assert designs.count({"kind": {"$nin": ["md"]}}) == 1
-
-    def test_exists(self, designs):
-        assert designs.count({"meta": {"$exists": True}}) == 2
-        assert designs.count({"meta": {"$exists": False}}) == 1
-
-    def test_regex(self, designs):
-        assert designs.count({"kind": {"$regex": "^m"}}) == 2
-
-    def test_and_or_not(self, designs):
-        query = {"$or": [{"kind": "etl"}, {"cost": {"$gte": 40}}]}
-        assert {d["_id"] for d in designs.find(query)} == {"d2", "d3"}
-        query = {"$and": [{"kind": "md"}, {"cost": {"$lt": 20}}]}
-        assert designs.find_one(query)["_id"] == "d1"
-        assert designs.count({"$not": {"kind": "md"}}) == 1
-
-    def test_missing_path_fails_equality(self, designs):
-        assert designs.count({"meta.author": "zed"}) == 1 - 1
-
-    def test_unknown_operator_raises(self, designs):
-        with pytest.raises(RepositoryError):
-            designs.find({"cost": {"$frob": 1}})
-
-    def test_sort_and_limit(self, designs):
-        costly_first = designs.find(sort_key="cost")
-        assert [d["_id"] for d in costly_first] == ["d1", "d2", "d3"]
-        assert len(designs.find(limit=2)) == 2
-
-    def test_sort_keeps_falsy_values(self):
-        """Regression: ``0``/``""``/``False`` sort keys used to collapse
-        to ``""`` via ``value or ""``, scrambling numeric order."""
-        collection = Collection("falsy")
-        collection.insert({"_id": "zero", "rank": 0})
-        collection.insert({"_id": "two", "rank": 2})
-        collection.insert({"_id": "neg", "rank": -1})
-        found = collection.find(sort_key="rank")
-        assert [doc["_id"] for doc in found] == ["neg", "zero", "two"]
-
-    def test_sort_mixed_types_never_raises(self):
-        """Regression: mixed int/str sort keys raised ``TypeError``."""
-        collection = Collection("mixed")
-        collection.insert({"_id": "a", "k": 3})
-        collection.insert({"_id": "b", "k": "x"})
-        collection.insert({"_id": "c"})  # key missing
-        collection.insert({"_id": "d", "k": None})
-        collection.insert({"_id": "e", "k": 1})
-        found = collection.find(sort_key="k")
-        # Missing first, then NULL, then values bucketed by type
-        # (numbers before strings), values themselves uncoerced.
-        assert [doc["_id"] for doc in found] == ["c", "d", "e", "a", "b"]
-
-    def test_find_one_none_when_empty(self, designs):
-        assert designs.find_one({"kind": "nope"}) is None
-
-    def test_type_mismatch_comparison_is_false(self):
-        assert not matches({"x": "str"}, {"x": {"$gt": 4}})
+    def test_order_survives_delete_and_replace(self):
+        collection = Collection("order")
+        for doc_id in ("a", "b", "c"):
+            collection.insert({"_id": doc_id})
+        collection.delete("b")
+        collection.replace({"_id": "a", "v": 2})  # keeps its position
+        collection.insert({"_id": "b"})  # re-inserted: now last
+        assert [doc["_id"] for doc in collection.find()] == ["a", "c", "b"]
+        assert collection.ids() == ["a", "c", "b"]
 
 
 class TestStore:
@@ -151,13 +93,6 @@ class TestStore:
         store.collection("c").insert({"_id": "1"})
         assert "c" in store
         assert store.collection_names() == ["c"]
-
-    def test_drop_collection(self):
-        store = DocumentStore()
-        store.collection("c")
-        store.drop_collection("c")
-        assert "c" not in store
-        store.drop_collection("never-existed")  # no error
 
 
 class TestPersistence:
@@ -170,7 +105,7 @@ class TestPersistence:
         file_store.save(store, path)
         loaded = file_store.load(path)
         assert loaded.name == "db"
-        assert loaded.collection("designs").count() == 3
+        assert len(loaded.collection("designs")) == 3
         assert loaded.collection("designs").get("d1")["meta"] == {
             "author": "ann"
         }
@@ -189,86 +124,54 @@ class TestPersistence:
         with pytest.raises(RepositoryError):
             file_store.load(path)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"collections": []},
+            {"collections": {"c": {"_id": "x"}}},
+            {"collections": {"c": [1]}},
+            {"collections": {"c": [None]}},
+            {"collections": {"c": [{"_id": ["x"]}]}},
+        ],
+        ids=[
+            "collections-not-object",
+            "collection-not-list",
+            "document-int",
+            "document-null",
+            "unhashable-id",
+        ],
+    )
+    def test_load_rejects_malformed_shape(self, tmp_path, payload):
+        from repro.repository import store as file_store
 
-class TestIdFastPath:
-    """Queries pinning ``_id`` are answered by hash lookup, with the
-    full query still verified — never by a collection scan."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(RepositoryError):
+            file_store.load(path)
 
-    def test_find_one_by_id(self, designs):
-        assert designs.find_one({"_id": "d2"})["kind"] == "etl"
-        assert designs.find_one({"_id": "ghost"}) is None
+    def test_load_rejects_duplicate_ids(self, tmp_path):
+        from repro.repository import store as file_store
 
-    def test_find_one_by_id_eq_operator(self, designs):
-        assert designs.find_one({"_id": {"$eq": "d3"}})["cost"] == 40
+        path = tmp_path / "dup.json"
+        path.write_text(
+            json.dumps({"collections": {"c": [{"_id": "x"}, {"_id": "x"}]}})
+        )
+        with pytest.raises(DuplicateDocumentError):
+            file_store.load(path)
 
-    def test_find_by_id_in_operator(self, designs):
-        found = designs.find({"_id": {"$in": ["d3", "d1", "d3", "ghost"]}})
-        # Collection (insertion) order, exactly like a full scan — not
-        # the order the ids appear in the $in list.
-        assert [doc["_id"] for doc in found] == ["d1", "d3"]
+    def test_load_ignores_indexes_key(self, tmp_path):
+        """Stores saved while collections declared secondary indexes
+        carry an ``"indexes"`` key; it holds nothing a load needs."""
+        from repro.repository import store as file_store
 
-    def test_other_conditions_still_verified(self, designs):
-        # The id matches but the rest of the query must too.
-        assert designs.find_one({"_id": "d1", "kind": "etl"}) is None
-        assert designs.find_one({"_id": "d1", "kind": "md"})["_id"] == "d1"
-
-    def test_count_by_id(self, designs):
-        assert designs.count({"_id": "d1"}) == 1
-        assert designs.count({"_id": {"$in": ["d1", "d2", "ghost"]}}) == 2
-
-    def test_non_equality_id_operators_fall_back_to_scan(self, designs):
-        found = designs.find({"_id": {"$ne": "d1"}})
-        assert {doc["_id"] for doc in found} == {"d2", "d3"}
-        assert designs.count({"_id": {"$regex": "^d"}}) == 3
-
-    def test_unhashable_id_query_falls_back_to_scan(self, designs):
-        assert designs.find({"_id": ["d1"]}) == []
-        assert designs.find({"_id": {"$in": [["d1"], "d2"]}}) != []
-
-    def test_results_are_copies(self, designs):
-        found = designs.find_one({"_id": "d1"})
-        found["kind"] = "mutated"
-        assert designs.get("d1")["kind"] == "md"
-
-    def test_id_narrowing_matches_scan_order(self):
-        """Regression: every ``_id`` fast path ($eq, $in, plain
-        equality) must yield the same order as the scan it replaces."""
-        collection = Collection("order")
-        for doc_id in ("a", "b", "c"):
-            collection.insert({"_id": doc_id})
-        scan = [doc["_id"] for doc in collection.find()]
-        assert scan == ["a", "b", "c"]
-        assert [
-            doc["_id"]
-            for doc in collection.find({"_id": {"$in": ["c", "a"]}})
-        ] == ["a", "c"]
-        assert [
-            doc["_id"] for doc in collection.find({"_id": {"$eq": "b"}})
-        ] == ["b"]
-        assert [doc["_id"] for doc in collection.find({"_id": "c"})] == ["c"]
-
-    def test_id_in_order_survives_delete_and_replace(self):
-        collection = Collection("order")
-        for doc_id in ("a", "b", "c"):
-            collection.insert({"_id": doc_id})
-        collection.delete("b")
-        collection.replace({"_id": "a", "v": 2})  # keeps its position
-        collection.insert({"_id": "b"})  # re-inserted: now last
-        assert [
-            doc["_id"]
-            for doc in collection.find({"_id": {"$in": ["b", "c", "a"]}})
-        ] == ["a", "c", "b"]
-
-    def test_fast_path_avoids_scanning_other_documents(self, designs, monkeypatch):
-        import repro.repository.documents as documents_module
-
-        seen = []
-        real_matches = documents_module.matches
-
-        def spying_matches(document, query):
-            seen.append(document["_id"])
-            return real_matches(document, query)
-
-        monkeypatch.setattr(documents_module, "matches", spying_matches)
-        designs.find_one({"_id": "d2"})
-        assert seen == ["d2"]
+        path = tmp_path / "indexed.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "collections": {"c": [{"_id": "x", "k": 1}]},
+                    "indexes": ["k"],
+                }
+            )
+        )
+        loaded = file_store.load(path)
+        assert loaded.collection("c").find() == [{"_id": "x", "k": 1}]

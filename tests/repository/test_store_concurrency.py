@@ -38,7 +38,7 @@ def _paired_writer(
 def test_save_under_concurrent_writers_is_torn_free(tmp_path, monkeypatch):
     store = DocumentStore(name="ledger")
     store.collection("credits")
-    store.collection("debits").create_index("ref")
+    store.collection("debits")
 
     original_find = Collection.find
 
@@ -72,15 +72,12 @@ def test_save_under_concurrent_writers_is_torn_free(tmp_path, monkeypatch):
     debits = payload["collections"]["debits"]
     dangling = [doc["_id"] for doc in debits if doc["ref"] not in credits]
     assert not dangling, f"torn snapshot: debits without credits {dangling}"
-    assert payload["indexes"] == {"debits": ["ref"]}
 
 
-def test_load_restores_documents_and_indexes(tmp_path):
+def test_load_restores_documents(tmp_path):
     store = DocumentStore(name="ledger")
     store.collection("credits").insert({"_id": "c0", "amount": 1})
-    debits = store.collection("debits")
-    debits.create_index("ref")
-    debits.insert({"_id": "d0", "ref": "c0"})
+    store.collection("debits").insert({"_id": "d0", "ref": "c0"})
     path = tmp_path / "ledger.json"
     save(store, path)
 
@@ -89,8 +86,7 @@ def test_load_restores_documents_and_indexes(tmp_path):
     assert loaded.collection("credits").find() == [
         {"_id": "c0", "amount": 1}
     ]
-    assert loaded.collection("debits").indexes() == ["ref"]
-    assert loaded.collection("debits").find({"ref": "c0"}) == [
+    assert loaded.collection("debits").find(lambda d: d["ref"] == "c0") == [
         {"_id": "d0", "ref": "c0"}
     ]
 
@@ -102,5 +98,5 @@ def test_snapshot_blocks_collection_creation_mid_capture():
     store.collection("a").insert({"_id": "1"})
     snapshot = store.snapshot()
     store.collection("b").insert({"_id": "2"})
-    assert set(snapshot["collections"]) == {"a"}
-    assert set(store.snapshot()["collections"]) == {"a", "b"}
+    assert set(snapshot) == {"a"}
+    assert set(store.snapshot()) == {"a", "b"}
